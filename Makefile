@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench bench-offline bench-netsim bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-scaling scale-smoke crash-smoke
+.PHONY: check vet staticcheck build test race bench bench-offline bench-netsim bench-pr10 bench-scaling scale-smoke crash-smoke
 
 check: vet staticcheck build test race
 
@@ -33,7 +33,7 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/sim/...
 	$(GO) test -race -run 'TestCompiledTableBytesSymmetricVsBrute|TestSymmetricFastPathMatchesGroupPath|TestTableSetEviction|TestCompiledTableAgreesWithRouter|TestCongestionCanonicalMatchesBrute|TestCongestionPickZeroAlloc|TestPackedCodecRoundTrip' ./internal/routing
-	$(GO) test -race -run 'TestTrialReplicationDeterminism|TestWorkerCount|TestDifferentialWheelHeap|TestDifferentialSerialSharded|TestDifferentialLazyTables|TestDifferentialCongestionSharded|TestDifferentialWarmFabric|TestDifferentialCheckpointResume|TestResumeMissingCheckpoint|TestResumeCorruptionRejected|TestSweepResume|TestRunTrialsPanicRecovery|TestCongestionSteeringChangesOutcome|TestTableCacheCapConfig|TestShardableGate|TestShardsValidation|TestShardedNonDividing64' ./internal/harness
+	$(GO) test -race -run 'TestTrialReplicationDeterminism|TestWorkerCount|TestDifferentialWheelHeap|TestDifferentialSerialSharded|TestDifferentialLazyTables|TestDifferentialCongestionSharded|TestDifferentialWarmFabric|TestDifferentialCheckpointResume|TestSnapshotRestoreIdempotent|TestResumeMissingCheckpoint|TestResumeCorruptionRejected|TestSweepResume|TestRunTrialsPanicRecovery|TestCongestionSteeringChangesOutcome|TestTableCacheCapConfig|TestShardableGate|TestShardsValidation|TestShardedNonDividing64' ./internal/harness
 
 # bench regenerates the numbers tracked in results/BENCH_*.json: the offline
 # path-set build (results/BENCH_seed.json) and the netsim packet-path
@@ -52,141 +52,12 @@ bench-offline:
 bench-netsim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$' -benchmem ./internal/netsim | $(GO) run ./cmd/benchjson
 
-# bench-pr3 refreshes the timing-wheel record: it reruns the netsim hot-path
-# benchmarks, keeps the raw `go test` lines (benchstat input) in
-# results/bench_pr3_raw.txt, and writes results/BENCH_pr3.json with a
-# comparison against the recorded pre-wheel baseline on stderr.
-bench-pr3:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$' \
-		-benchmem -benchtime 20x ./internal/netsim \
-		| tee results/bench_pr3_raw.txt \
-		| $(GO) run ./cmd/benchjson -compare results/BENCH_pr2.json \
-			-method "GOMAXPROCS=1 make bench-pr3 (timing-wheel scheduler; baseline: results/BENCH_pr2.json)" \
-			> results/BENCH_pr3.json
-
-# bench-pr4 refreshes the sharded-engine record: the serial hot-path
-# benchmarks (gated at 10% regression against the pre-sharding baseline in
-# results/BENCH_pr3.json) plus the 64-ToR permutation in both serial and
-# sharded form. GOMAXPROCS is pinned to 1 for run-to-run stability of the
-# serial gate; the Saturation64Sharded number under GOMAXPROCS=1 therefore
-# measures sharding *overhead*, not speedup — see DESIGN.md §10 for the
-# multi-core exhibit. BENCHTIME trades precision for wall clock.
+# results/BENCH_pr3.json … results/BENCH_pr9.json and their raw lines are
+# frozen history: each record's "method" field says what it measured and
+# against which baseline. BENCHTIME and SCALING_BENCHTIME trade precision
+# for wall clock.
 BENCHTIME ?= 20x
-bench-pr4:
-	GOMAXPROCS=1 $(GO) test -run '^$$' \
-		-bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$|BenchmarkSaturation64$$|BenchmarkSaturation64Sharded$$' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/netsim \
-		| tee results/bench_pr4_raw.txt \
-		| $(GO) run ./cmd/benchjson -compare results/BENCH_pr3.json -maxregress 0.10 \
-			-method "GOMAXPROCS=1 make bench-pr4 (sharded conservative-PDES engine; baseline: results/BENCH_pr3.json; single-core container, so Saturation64Sharded records overhead, not speedup)" \
-			> results/BENCH_pr4.json
-
-# bench-pr5 refreshes the fault-injection record: the PR-4 hot-path
-# benchmarks rerun with no failure timeline — the zero-cost gate, held to
-# 10% regression against results/BENCH_pr4.json because a nil fault state
-# must cost one branch — plus SaturationFailover, which prices route
-# planning and packet recovery with an active failure schedule (new in this
-# record, so it carries no baseline comparison).
-bench-pr5:
-	GOMAXPROCS=1 $(GO) test -run '^$$' \
-		-bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$|BenchmarkSaturation64$$|BenchmarkSaturation64Sharded$$|BenchmarkSaturationFailover$$' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/netsim \
-		| tee results/bench_pr5_raw.txt \
-		| $(GO) run ./cmd/benchjson -compare results/BENCH_pr4.json -maxregress 0.10 \
-			-method "GOMAXPROCS=1 make bench-pr5 (runtime fault injection; baseline: results/BENCH_pr4.json; empty-timeline hot paths gated at 10%)" \
-			> results/BENCH_pr5.json
-
-# bench-pr6 refreshes the adaptive-window/domain-grouping record in two
-# stages that land in one results/BENCH_pr6.json: (1) the serial hot paths
-# under GOMAXPROCS=1, gated at 10% regression against results/BENCH_pr5.json
-# — the sharded-engine rework must not tax the serial engine; (2) the
-# BenchmarkShardScaling sweep (serial reference plus worker counts 1..16)
-# with GOMAXPROCS left at the machine's core count, which is the multicore
-# speedup exhibit. The sweep benchmarks are new in this record, so the
-# comparison prints "(not in baseline)" for them instead of gating. On a
-# single-core machine the sweep records overhead, not speedup; the committed
-# scaling table comes from the CI bench job, which runs on all cores.
 SCALING_BENCHTIME ?= 10x
-bench-pr6:
-	GOMAXPROCS=1 $(GO) test -run '^$$' \
-		-bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$|BenchmarkSaturation64$$|BenchmarkSaturation64Sharded$$|BenchmarkSaturationFailover$$' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/netsim \
-		> results/.pr6_serial.tmp
-	$(GO) test -run '^$$' -bench 'BenchmarkShardScaling' \
-		-benchmem -benchtime $(SCALING_BENCHTIME) ./internal/netsim \
-		> results/.pr6_scaling.tmp
-	cat results/.pr6_serial.tmp results/.pr6_scaling.tmp > results/bench_pr6_raw.txt
-	rm -f results/.pr6_serial.tmp results/.pr6_scaling.tmp
-	$(GO) run ./cmd/benchjson -compare results/BENCH_pr5.json -maxregress 0.10 \
-		-method "make bench-pr6 (adaptive windows + domain grouping; serial hot paths at GOMAXPROCS=1 gated 10% vs results/BENCH_pr5.json; BenchmarkShardScaling at full core count)" \
-		< results/bench_pr6_raw.txt > results/BENCH_pr6.json
-
-# bench-pr7 refreshes the rotation-symmetry/packed-table record in two
-# stages landing in one results/BENCH_pr7.json: (1) the serial hot paths
-# under GOMAXPROCS=1, gated at 10% regression against results/BENCH_pr6.json
-# — the symmetric build and table rework must not tax the packet path; (2)
-# the N ∈ {108, 256, 512, 1024} scaling sweep (`ucmpbench -exp scale`),
-# which records offline build time, table compile time, peak heap via
-# runtime.MemStats, events/s, and the naive-vs-packed table rows per point.
-# The sweep entries are new in this record, so the comparison prints "(not
-# in baseline)" for them instead of gating.
-bench-pr7:
-	GOMAXPROCS=1 $(GO) test -run '^$$' \
-		-bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$|BenchmarkSaturation64$$|BenchmarkSaturation64Sharded$$|BenchmarkSaturationFailover$$' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/netsim \
-		> results/.pr7_serial.tmp
-	$(GO) run ./cmd/ucmpbench -exp scale -benchfmt > results/.pr7_scale.tmp
-	cat results/.pr7_serial.tmp results/.pr7_scale.tmp > results/bench_pr7_raw.txt
-	rm -f results/.pr7_serial.tmp results/.pr7_scale.tmp
-	$(GO) run ./cmd/benchjson -compare results/BENCH_pr6.json -maxregress 0.10 \
-		-method "make bench-pr7 (rotation-symmetry dedup + arena-packed tables; serial hot paths at GOMAXPROCS=1 gated 10% vs results/BENCH_pr6.json; ScaleSweep N=108..1024 at full core count)" \
-		< results/bench_pr7_raw.txt > results/BENCH_pr7.json
-
-# bench-pr8 refreshes the congestion-sharding record in two stages landing
-# in one results/BENCH_pr8.json: (1) the serial hot paths under GOMAXPROCS=1,
-# gated at 10% regression against results/BENCH_pr7.json — the board
-# publication hook and the restructured congestion pick must not tax
-# congestion-off runs — and (2) the BenchmarkCongestionSharded ladder
-# (serial + 1/2/4/8/16 workers over the congestion64 incast-on-permutation
-# scenario, steering engaged) with GOMAXPROCS left at the machine's core
-# count. The ladder entries are new in this record, so the comparison prints
-# "(not in baseline)" for them instead of gating; on a single-core machine
-# the ladder records sharding overhead, not speedup — the committed
-# >1x-at-4+-workers numbers come from the CI bench job.
-bench-pr8:
-	GOMAXPROCS=1 $(GO) test -run '^$$' \
-		-bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$|BenchmarkSaturation64$$|BenchmarkSaturation64Sharded$$|BenchmarkSaturationFailover$$' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/netsim \
-		> results/.pr8_serial.tmp
-	$(GO) test -run '^$$' -bench 'BenchmarkCongestionSharded' \
-		-benchmem -benchtime $(SCALING_BENCHTIME) ./internal/netsim \
-		> results/.pr8_ladder.tmp
-	cat results/.pr8_serial.tmp results/.pr8_ladder.tmp > results/bench_pr8_raw.txt
-	rm -f results/.pr8_serial.tmp results/.pr8_ladder.tmp
-	$(GO) run ./cmd/benchjson -compare results/BENCH_pr7.json -maxregress 0.10 \
-		-method "make bench-pr8 (slice-boundary congestion board; serial hot paths at GOMAXPROCS=1 gated 10% vs results/BENCH_pr7.json; CongestionSharded ladder at full core count)" \
-		< results/bench_pr8_raw.txt > results/BENCH_pr8.json
-
-# bench-pr9 refreshes the warm-fabric record in two stages landing in one
-# results/BENCH_pr9.json: (1) the serial hot paths under GOMAXPROCS=1, gated
-# at 10% regression against results/BENCH_pr8.json — the codec, the
-# TableSet LRU, and the cache plumbing must not tax the packet path — and
-# (2) BenchmarkFabricColdVsWarm (N=512/1024 at -benchtime 1x), recording the
-# cold build, the warm mmap load, and the speedup as custom metrics. The
-# cold/warm entries are new in this record, so the comparison prints "(not
-# in baseline)" for them instead of gating.
-bench-pr9:
-	GOMAXPROCS=1 $(GO) test -run '^$$' \
-		-bench 'BenchmarkSaturation$$|BenchmarkIncast8ToR$$|BenchmarkSaturation64$$|BenchmarkSaturation64Sharded$$|BenchmarkSaturationFailover$$' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/netsim \
-		> results/.pr9_serial.tmp
-	$(GO) test -run '^$$' -bench 'BenchmarkFabricColdVsWarm' -benchtime 1x . \
-		> results/.pr9_fabric.tmp
-	cat results/.pr9_serial.tmp results/.pr9_fabric.tmp > results/bench_pr9_raw.txt
-	rm -f results/.pr9_serial.tmp results/.pr9_fabric.tmp
-	$(GO) run ./cmd/benchjson -compare results/BENCH_pr8.json -maxregress 0.10 \
-		-method "make bench-pr9 (warm-fabric cache + circulant Opera; serial hot paths at GOMAXPROCS=1 gated 10% vs results/BENCH_pr8.json; FabricColdVsWarm N=512/1024 at -benchtime 1x)" \
-		< results/bench_pr9_raw.txt > results/BENCH_pr9.json
 
 # bench-pr10 refreshes the checkpoint/restore record: the serial hot paths
 # rerun with checkpointing off, gated at 10% regression against

@@ -6,11 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // Round trip of every primitive through a saved-and-loaded file.
 func TestRoundTrip(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(Magic)
 	a := w.Section("alpha")
 	a.U8(7)
 	a.U32(0xdeadbeef)
@@ -27,10 +29,10 @@ func TestRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.U8(uint8(10 + i))
 	}
+	// Re-requesting the open section appends to the same encoder.
+	w.Section("alpha").U8(99)
 	b := w.Section("beta")
 	b.U64(42)
-	// Re-requesting a section appends to the same encoder.
-	w.Section("alpha").U8(99)
 
 	path := filepath.Join(t.TempDir(), "x.ucmpckp")
 	if err := w.Save(path); err != nil {
@@ -133,7 +135,7 @@ func TestLenBounds(t *testing.T) {
 // Every single-byte corruption anywhere in the file — header, section
 // table, body, checksums — must be rejected by Load.
 func TestLoadRejectsEveryFlip(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(Magic)
 	s := w.Section("state")
 	for i := 0; i < 8; i++ {
 		s.U64(uint64(i) * 0x0101010101010101)
@@ -185,5 +187,62 @@ func TestFileName(t *testing.T) {
 	}
 	if filepath.Dir(a) != "dir" || !strings.HasSuffix(a, ".ucmpckp") {
 		t.Fatalf("unexpected shape: %q", a)
+	}
+}
+
+// TestStaleTempCleanup: staging files a killed Save left in a checkpoint
+// directory are removed by the next Load there; fresh ones (a Save possibly
+// in flight) and the checkpoint itself are left alone.
+func TestStaleTempCleanup(t *testing.T) {
+	dir := t.TempDir()
+	path := FileName(dir, "key")
+	w := NewWriter(Magic)
+	w.Section("state").U64(7)
+	if err := w.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, tempPrefix+"stale123")
+	fresh := filepath.Join(dir, tempPrefix+"fresh456")
+	for _, f := range []string{stale, fresh} {
+		if err := os.WriteFile(f, []byte("debris"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp survived Load: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatalf("fresh temp was removed: %v", err)
+	}
+}
+
+// TestSectionsAligned: every section body starts at an 8-byte-aligned file
+// offset, whatever the name and body lengths before it.
+func TestSectionsAligned(t *testing.T) {
+	w := NewWriter(Magic)
+	for i, name := range []string{"a", "bcdefgh", "ijklmnopq", ""} {
+		e := w.Section(name)
+		for j := 0; j < 3*i+1; j++ {
+			e.U8(uint8(j))
+		}
+	}
+	img := w.Encode()
+	f, err := Parse(img, Magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range f.Names() {
+		b, _ := f.Body(name)
+		off := uintptr(unsafe.Pointer(unsafe.SliceData(b))) - uintptr(unsafe.Pointer(unsafe.SliceData(img)))
+		if len(b) > 0 && off%8 != 0 {
+			t.Fatalf("section %q body at offset %d", name, off)
+		}
 	}
 }

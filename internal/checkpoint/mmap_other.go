@@ -1,8 +1,8 @@
 //go:build !unix
 
-package fabriccache
+package checkpoint
 
-// mapPath never succeeds on non-unix hosts; Load falls back to a plain read.
+// mapPath never succeeds on non-unix hosts; Open falls back to a plain read.
 func mapPath(string) ([]byte, bool) { return nil, false }
 
 func unmap([]byte) error { return nil }

@@ -1,6 +1,6 @@
 //go:build unix
 
-package fabriccache
+package checkpoint
 
 import (
 	"os"

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"ucmp/internal/byteview"
+	"ucmp/internal/checkpoint"
 	"ucmp/internal/topo"
 )
 
@@ -32,72 +33,56 @@ type DecodeOptions struct {
 	NoAlias bool
 }
 
-// EncodeCanonical serializes a symmetric PathSet into its spine and store
-// blobs. Errors on brute-force builds, which have no canonical form (and
-// would not round-trip at O(S·N)).
-func (ps *PathSet) EncodeCanonical() (spine, store []byte, err error) {
+// EncodeCanonical writes a symmetric PathSet into w as two sections,
+// "spine" and "store". Errors on brute-force builds, which have no canonical
+// form (and would not round-trip at O(S·N)).
+func (ps *PathSet) EncodeCanonical(w *checkpoint.Writer) error {
 	if !ps.sym {
-		return nil, nil, fmt.Errorf("core: cannot encode a non-symmetric path set")
+		return fmt.Errorf("core: cannot encode a non-symmetric path set")
 	}
-	spine = make([]byte, 0, 4*len(ps.canonIdx))
-	for _, idx := range ps.canonIdx {
-		spine = binary.LittleEndian.AppendUint32(spine, uint32(idx))
-	}
-	u32 := func(v int) { store = binary.LittleEndian.AppendUint32(store, uint32(v)) }
-	u32(len(ps.interned))
+	// Reserve both sections up front so a large image is not reallocated
+	// and copied as it grows: the spine, the store's section header and
+	// group count, then the store's records.
+	size := 4*len(ps.canonIdx) + 32
 	for _, g := range ps.interned {
-		u32(g.Dst)
-		u32(len(g.Entries))
-		for _, e := range g.Entries {
-			if e.LatencySlices < 0 || e.LatencySlices > math.MaxUint32 {
-				return nil, nil, fmt.Errorf("core: canonical latency %d outside codec range", e.LatencySlices)
+		size += 8
+		for _, en := range g.Entries {
+			size += 12
+			for _, p := range en.Paths {
+				size += 4 + 8*len(p.Hops)
 			}
-			u32(e.HopCount)
-			u32(int(e.LatencySlices))
-			u32(len(e.Paths))
-			for _, p := range e.Paths {
-				u32(len(p.Hops))
+		}
+	}
+	e := w.Section("spine")
+	e.Grow(size)
+	for _, idx := range ps.canonIdx {
+		e.I32(idx)
+	}
+	e = w.Section("store")
+	e.Len(len(ps.interned))
+	for _, g := range ps.interned {
+		e.U32(uint32(g.Dst))
+		e.Len(len(g.Entries))
+		for _, en := range g.Entries {
+			if en.LatencySlices < 0 || en.LatencySlices > math.MaxUint32 {
+				return fmt.Errorf("core: canonical latency %d outside codec range", en.LatencySlices)
+			}
+			e.U32(uint32(en.HopCount))
+			e.U32(uint32(en.LatencySlices))
+			e.Len(len(en.Paths))
+			for _, p := range en.Paths {
+				e.Len(len(p.Hops))
 				for _, hp := range p.Hops {
 					if hp.Slice < 0 || hp.Slice > math.MaxUint32 {
-						return nil, nil, fmt.Errorf("core: canonical hop slice %d outside codec range", hp.Slice)
+						return fmt.Errorf("core: canonical hop slice %d outside codec range", hp.Slice)
 					}
-					u32(hp.To)
-					u32(int(hp.Slice))
+					e.U32(uint32(hp.To))
+					e.U32(uint32(hp.Slice))
 				}
 			}
 		}
 	}
-	return spine, store, nil
-}
-
-// storeReader walks the group store with bounds checking, so truncated or
-// corrupted blobs surface as errors, never panics or partial path sets.
-type storeReader struct {
-	b   []byte
-	off int
-}
-
-func (r *storeReader) u32(what string) (int, error) {
-	if r.off+4 > len(r.b) {
-		return 0, fmt.Errorf("core: truncated group store at %s (offset %d)", what, r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return int(int32(v)), nil
-}
-
-// count reads a record count and sanity-checks it against the bytes left at
-// a minimum record size, so a corrupted count cannot trigger a huge
-// allocation before the cursor would hit the end anyway.
-func (r *storeReader) count(what string, minRec int) (int, error) {
-	n, err := r.u32(what)
-	if err != nil {
-		return 0, err
-	}
-	if n < 0 || n > (len(r.b)-r.off)/minRec {
-		return 0, fmt.Errorf("core: group store claims %d %s beyond its %d bytes", n, what, len(r.b))
-	}
-	return n, nil
+	return nil
 }
 
 // DecodeCanonical rebuilds a symmetric PathSet from its codec blobs for the
@@ -138,59 +123,30 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 		}
 	}
 
-	r := &storeReader{b: storeBlob}
-	nGroups, err := r.count("groups", 8)
-	if err != nil {
-		return nil, err
-	}
+	// Minimum record sizes bound every count against the bytes left: a
+	// group is at least dst+count, an entry hopCount+latency+count, a path
+	// its hop count, a hop (to, rel).
+	d := checkpoint.NewDecoder(storeBlob)
+	nGroups := d.Count(8)
 	arena := newScaledArena(nGroups + 1)
 	ps.interned = make([]*Group, 0, nGroups)
 	for gi := 0; gi < nGroups; gi++ {
-		dst, err := r.u32("dst")
-		if err != nil {
-			return nil, err
-		}
-		if dst < 1 || dst >= n {
+		dst := int(d.I32())
+		if d.Err() == nil && (dst < 1 || dst >= n) {
 			return nil, fmt.Errorf("core: group %d dst %d outside [1,%d)", gi, dst, n)
-		}
-		nEntries, err := r.count("entries", 12)
-		if err != nil {
-			return nil, err
 		}
 		g := arena.groups.one()
 		g.Src, g.Dst, g.StartSlice = 0, dst, 0
-		g.Entries = arena.entries.take(nEntries)
-		for ei := 0; ei < nEntries; ei++ {
-			hopCount, err := r.u32("hopCount")
-			if err != nil {
-				return nil, err
-			}
-			lat, err := r.u32("latency")
-			if err != nil {
-				return nil, err
-			}
-			nPaths, err := r.count("paths", 4)
-			if err != nil {
-				return nil, err
-			}
-			paths := arena.ptrs.take(nPaths)
-			for pi := 0; pi < nPaths; pi++ {
-				nHops, err := r.count("hops", 8)
-				if err != nil {
-					return nil, err
-				}
+		g.Entries = arena.entries.take(d.Count(12))
+		for ei := range g.Entries {
+			hopCount, lat := int(d.I32()), int64(d.U32())
+			paths := arena.ptrs.take(d.Count(4))
+			for pi := range paths {
 				p := arena.paths.one()
 				p.Src, p.Dst, p.StartSlice = 0, dst, 0
-				p.Hops = arena.hops.take(nHops)
-				for hi := 0; hi < nHops; hi++ {
-					to, err := r.u32("hop to")
-					if err != nil {
-						return nil, err
-					}
-					rel, err := r.u32("hop rel")
-					if err != nil {
-						return nil, err
-					}
+				p.Hops = arena.hops.take(d.Count(8))
+				for hi := range p.Hops {
+					to, rel := int(d.I32()), d.I32()
 					if to < 0 || to >= n || rel < 0 {
 						return nil, fmt.Errorf("core: group %d hop (%d,%d) out of range", gi, to, rel)
 					}
@@ -198,7 +154,10 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 				}
 				paths[pi] = p
 			}
-			g.Entries[ei] = Entry{HopCount: hopCount, LatencySlices: int64(uint32(lat)), Paths: paths}
+			g.Entries[ei] = Entry{HopCount: hopCount, LatencySlices: lat, Paths: paths}
+		}
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("core: group store: %w", err)
 		}
 		g.hull = arena.ints.take(len(g.Entries))[:0]
 		if len(g.Entries) > 1 {
@@ -210,8 +169,8 @@ func DecodeCanonical(f *topo.Fabric, alpha float64, maxParallel int, spineBlob, 
 		}
 		ps.interned = append(ps.interned, g)
 	}
-	if r.off != len(storeBlob) {
-		return nil, fmt.Errorf("core: %d trailing bytes after group store", len(storeBlob)-r.off)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: group store: %w", err)
 	}
 
 	// Spine sanity: Δ = 0 is -1, everything else points into the store.

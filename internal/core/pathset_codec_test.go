@@ -2,7 +2,27 @@ package core
 
 import (
 	"testing"
+
+	"ucmp/internal/checkpoint"
 )
+
+// encodeBlobs runs EncodeCanonical through a container image and returns
+// the spine and store section bodies.
+func encodeBlobs(ps *PathSet) (spine, store []byte, err error) {
+	w := checkpoint.NewWriter(checkpoint.Magic)
+	if err := ps.EncodeCanonical(w); err != nil {
+		return nil, nil, err
+	}
+	f, err := checkpoint.Parse(w.Encode(), checkpoint.Magic)
+	if err != nil {
+		return nil, nil, err
+	}
+	if spine, err = f.Body("spine"); err != nil {
+		return nil, nil, err
+	}
+	store, err = f.Body("store")
+	return spine, store, err
+}
 
 // pathSetString renders everything observable about a path set's groups for
 // every (t_start, src, dst), via the same group rendering the symmetric
@@ -32,7 +52,7 @@ func TestCanonicalCodecRoundTrip(t *testing.T) {
 		for _, mp := range []int{1, 4} {
 			f := kindFabric(t, kind, 16, 4)
 			ps := BuildPathSetOpts(f, 0.5, BuildOptions{MaxParallel: mp})
-			spine, store, err := ps.EncodeCanonical()
+			spine, store, err := encodeBlobs(ps)
 			if err != nil {
 				t.Fatalf("%s mp=%d: encode: %v", kind, mp, err)
 			}
@@ -64,7 +84,7 @@ func TestCanonicalCodecRoundTrip(t *testing.T) {
 func TestCanonicalCodecRejectsBrute(t *testing.T) {
 	f := symFabric(t, 8, 4)
 	brute := BuildPathSetOpts(f, 0.5, BuildOptions{NoSymmetry: true})
-	if _, _, err := brute.EncodeCanonical(); err == nil {
+	if _, _, err := encodeBlobs(brute); err == nil {
 		t.Fatal("encoding a brute-force build must error")
 	}
 }
@@ -75,7 +95,7 @@ func TestCanonicalCodecRejectsBrute(t *testing.T) {
 func TestCanonicalCodecRejectsCorruption(t *testing.T) {
 	f := symFabric(t, 8, 4)
 	ps := BuildPathSet(f, 0.5)
-	spine, store, err := ps.EncodeCanonical()
+	spine, store, err := encodeBlobs(ps)
 	if err != nil {
 		t.Fatal(err)
 	}

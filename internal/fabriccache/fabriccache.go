@@ -5,19 +5,19 @@
 // and multiple processes loading the same file share one copy of the hot
 // arrays through the page cache.
 //
-// File layout (little-endian):
+// The file is a checkpoint container (DESIGN.md §16) under its own magic,
+// "UCMPFAB1", with four sections:
 //
-//	0   magic "UCMPFAB1"
-//	8   u32 version, u32 reserved
-//	16  u64 schedule fingerprint (topo.Schedule.Fingerprint)
-//	24  u64 alpha bits, u64 linkBps bits, u64 sliceMicros bits (float64)
-//	48  u32 maxParallel, u32 n, u32 d, u32 s
-//	64  3 × {u64 offset, u64 length}: spine, store, table sections
-//	112 u64 payload checksum (FNV-1a over bytes 128..EOF)
-//	120 u64 header checksum (FNV-1a over bytes 0..120)
-//	128 payload; section offsets are absolute and 8-byte aligned
+//	meta   u64 schedule fingerprint (topo.Schedule.Fingerprint); float64
+//	       α, link rate and slice length; u32 maxParallel, n, d, s
+//	spine  the canonical spine (core.EncodeCanonical)
+//	store  the interned canonical group store (core.EncodeCanonical)
+//	table  ToR 0's packed table (routing.CompiledTable.AppendPacked)
 //
-// Identity, not freshness: the header pins everything the compiled content
+// The container places every body at an 8-byte-aligned file offset, so the
+// spine and the table's arrays alias the mapping.
+//
+// Identity, not freshness: the meta section pins everything the compiled content
 // depends on — the schedule's structural fingerprint and the cost-model
 // parameters — so a stale or foreign file is rejected with an error and can
 // never silently serve a different fabric. Cache file NAMES also embed the
@@ -34,25 +34,17 @@ package fabriccache
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
-	"os"
 	"path/filepath"
-	"strings"
-	"time"
 
+	"ucmp/internal/checkpoint"
 	"ucmp/internal/core"
 	"ucmp/internal/routing"
 	"ucmp/internal/topo"
 )
 
-const (
-	magic      = "UCMPFAB1"
-	version    = 1
-	headerSize = 128
-
-	fnvOffset = 1469598103934665603
-	fnvPrime  = 1099511628211
-)
+const magic = "UCMPFAB1"
 
 // Params are the build parameters baked into a compiled fabric beyond the
 // schedule itself.
@@ -80,26 +72,17 @@ type Fabric struct {
 	PS    *core.PathSet
 	Table *routing.CompiledTable // ToR 0's table; other ToRs compile lazily
 
-	data   []byte
-	mapped bool
+	file *checkpoint.File
 }
 
 // Close releases the file mapping. PS and Table must not be used afterward.
 func (f *Fabric) Close() error {
-	data, mapped := f.data, f.mapped
-	f.PS, f.Table, f.data, f.mapped = nil, nil, nil, false
-	if mapped {
-		return unmap(data)
+	file := f.file
+	f.PS, f.Table, f.file = nil, nil, nil
+	if file != nil {
+		return file.Close()
 	}
 	return nil
-}
-
-func fnv64(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
 }
 
 // FileName returns the cache file name for a fabric + params combination
@@ -107,16 +90,17 @@ func fnv64(h uint64, b []byte) uint64 {
 // configuration and build parameters, so distinct fabrics get distinct
 // files and a changed fabric is a cache miss by name.
 func FileName(dir string, f *topo.Fabric, p Params) string {
-	key := make([]byte, 0, 64)
-	u64 := func(v uint64) { key = binary.LittleEndian.AppendUint64(key, v) }
-	u64(f.Sched.Fingerprint())
-	u64(math.Float64bits(p.Alpha))
-	u64(math.Float64bits(float64(f.LinkBps)))
-	u64(math.Float64bits(f.SliceDuration.Micros()))
-	u64(uint64(effMaxParallel(p.MaxParallel)))
-	u64(uint64(f.NumToRs))
-	u64(uint64(f.Uplinks))
-	return filepath.Join(dir, fmt.Sprintf("fabric-%016x.ucmpfab", fnv64(fnvOffset, key)))
+	h := fnv.New64a()
+	binary.Write(h, binary.LittleEndian, []uint64{
+		f.Sched.Fingerprint(),
+		math.Float64bits(p.Alpha),
+		math.Float64bits(float64(f.LinkBps)),
+		math.Float64bits(f.SliceDuration.Micros()),
+		uint64(effMaxParallel(p.MaxParallel)),
+		uint64(f.NumToRs),
+		uint64(f.Uplinks),
+	})
+	return filepath.Join(dir, fmt.Sprintf("fabric-%016x.ucmpfab", h.Sum64()))
 }
 
 // Encode assembles the complete file image for a compiled fabric. The path
@@ -126,49 +110,20 @@ func Encode(ps *core.PathSet, table *routing.CompiledTable) ([]byte, error) {
 	if table.Tor != 0 {
 		return nil, fmt.Errorf("fabriccache: table is for ToR %d, want 0", table.Tor)
 	}
-	spine, store, err := ps.EncodeCanonical()
-	if err != nil {
+	w := checkpoint.NewWriter(magic)
+	m := w.Section("meta")
+	m.U64(ps.F.Sched.Fingerprint())
+	m.F64(ps.Model.Alpha)
+	m.F64(ps.Model.LinkBps)
+	m.F64(ps.Model.SliceMicros)
+	for _, v := range []int{ps.Calc.MaxParallel, ps.F.NumToRs, ps.F.Uplinks, ps.F.Sched.S} {
+		m.U32(uint32(v))
+	}
+	if err := ps.EncodeCanonical(w); err != nil {
 		return nil, err
 	}
-	align := func(b []byte) []byte {
-		for len(b)%8 != 0 {
-			b = append(b, 0)
-		}
-		return b
-	}
-	out := make([]byte, headerSize, headerSize+len(spine)+len(store)+len(store)/2)
-	spineOff := len(out)
-	out = align(append(out, spine...))
-	storeOff := len(out)
-	out = align(append(out, store...))
-	tableOff := len(out)
-	out = table.AppendPacked(out)
-	tableLen := len(out) - tableOff
-
-	h := out[:0:headerSize]
-	h = append(h, magic...)
-	u32 := func(v uint32) { h = binary.LittleEndian.AppendUint32(h, v) }
-	u64 := func(v uint64) { h = binary.LittleEndian.AppendUint64(h, v) }
-	u32(version)
-	u32(0)
-	u64(ps.F.Sched.Fingerprint())
-	u64(math.Float64bits(ps.Model.Alpha))
-	u64(math.Float64bits(ps.Model.LinkBps))
-	u64(math.Float64bits(ps.Model.SliceMicros))
-	u32(uint32(ps.Calc.MaxParallel))
-	u32(uint32(ps.F.NumToRs))
-	u32(uint32(ps.F.Uplinks))
-	u32(uint32(ps.F.Sched.S))
-	for _, sec := range [][2]int{{spineOff, len(spine)}, {storeOff, len(store)}, {tableOff, tableLen}} {
-		u64(uint64(sec[0]))
-		u64(uint64(sec[1]))
-	}
-	u64(fnv64(fnvOffset, out[headerSize:]))
-	u64(fnv64(fnvOffset, h))
-	if len(h) != headerSize {
-		panic("fabriccache: header layout drifted")
-	}
-	return out, nil
+	w.Section("table").Append(table.AppendPacked)
+	return w.Encode(), nil
 }
 
 // Save writes the compiled fabric to path atomically (temp file + rename),
@@ -178,55 +133,7 @@ func Save(path string, ps *core.PathSet, table *routing.CompiledTable) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), tempPrefix+"*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(img); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// tempPrefix names the atomic-write staging files Save creates next to the
-// cache file; staleTempAge is how old such a file must be before cleanup
-// treats it as the debris of a crashed writer rather than a save in flight.
-const (
-	tempPrefix   = ".ucmpfab-"
-	staleTempAge = 10 * time.Minute
-)
-
-// cleanStaleTemps removes staging files a crashed or killed Save left
-// behind. Called from Load (the "next open" of the cache directory), it
-// never touches a temp younger than staleTempAge — a concurrent Save may
-// still be writing it — and every failure is ignored: cleanup is hygiene,
-// not correctness.
-func cleanStaleTemps(dir string) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if !strings.HasPrefix(e.Name(), tempPrefix) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		if time.Since(info.ModTime()) >= staleTempAge {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
+	return checkpoint.WriteFile(path, img)
 }
 
 // Options tunes Load.
@@ -247,90 +154,57 @@ type Options struct {
 // structural defect in the payload — is an error and never a partial or
 // wrong fabric. The caller owns the returned handle (see package comment).
 func Load(path string, fab *topo.Fabric, p Params, opt Options) (*Fabric, error) {
-	cleanStaleTemps(filepath.Dir(path))
-	data, mapped, err := readFile(path, opt.NoMmap)
+	file, err := checkpoint.Open(path, magic, !opt.NoMmap)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fabriccache: %w", err)
 	}
-	release := func() {
-		if mapped {
-			unmap(data)
-		}
-	}
-	ld, err := decode(data, fab, p, opt)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	if opt.NoAlias {
+	ld, err := build(file, fab, p, opt)
+	if err != nil || opt.NoAlias {
 		// Nothing references the file image; drop it eagerly.
-		release()
-		return &Fabric{PS: ld.PS, Table: ld.Table}, nil
+		file.Close()
+		return ld, err
 	}
-	ld.data, ld.mapped = data, mapped
+	ld.file = file
 	return ld, nil
 }
 
-// decode validates the file image against the expected fabric and params
-// and rebuilds the path set and table.
-func decode(data []byte, fab *topo.Fabric, p Params, opt Options) (*Fabric, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("fabriccache: file is %d bytes, shorter than the %d-byte header", len(data), headerSize)
+// build checks the meta section against the expected fabric and params and
+// decodes the other three sections.
+func build(file *checkpoint.File, fab *topo.Fabric, p Params, opt Options) (*Fabric, error) {
+	m, err := file.Section("meta")
+	if err != nil {
+		return nil, fmt.Errorf("fabriccache: %w", err)
 	}
-	if string(data[:8]) != magic {
-		return nil, fmt.Errorf("fabriccache: bad magic %q", data[:8])
-	}
-	if got := binary.LittleEndian.Uint64(data[120:]); got != fnv64(fnvOffset, data[:120]) {
-		return nil, fmt.Errorf("fabriccache: header checksum mismatch")
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != version {
-		return nil, fmt.Errorf("fabriccache: file version %d, want %d", v, version)
-	}
-	if got, want := binary.LittleEndian.Uint64(data[16:]), fab.Sched.Fingerprint(); got != want {
-		return nil, fmt.Errorf("fabriccache: schedule fingerprint %016x, want %016x — file is for a different fabric", got, want)
-	}
-	wantAlpha := math.Float64bits(p.Alpha)
-	wantLink := math.Float64bits(float64(fab.LinkBps))
-	wantSlice := math.Float64bits(fab.SliceDuration.Micros())
-	if a := binary.LittleEndian.Uint64(data[24:]); a != wantAlpha {
-		return nil, fmt.Errorf("fabriccache: alpha %v, want %v", math.Float64frombits(a), p.Alpha)
-	}
-	if l := binary.LittleEndian.Uint64(data[32:]); l != wantLink {
+	fp, alpha, link, slice := m.U64(), m.U64(), m.U64(), m.U64()
+	mp, n, d, s := int(m.U32()), int(m.U32()), int(m.U32()), int(m.U32())
+	switch {
+	case m.Done() != nil:
+		return nil, fmt.Errorf("fabriccache: meta: %w", m.Err())
+	case fp != fab.Sched.Fingerprint():
+		return nil, fmt.Errorf("fabriccache: schedule fingerprint %016x, want %016x — file is for a different fabric", fp, fab.Sched.Fingerprint())
+	case alpha != math.Float64bits(p.Alpha):
+		return nil, fmt.Errorf("fabriccache: alpha %v, want %v", math.Float64frombits(alpha), p.Alpha)
+	case link != math.Float64bits(float64(fab.LinkBps)):
 		return nil, fmt.Errorf("fabriccache: link rate differs")
-	}
-	if s := binary.LittleEndian.Uint64(data[40:]); s != wantSlice {
+	case slice != math.Float64bits(fab.SliceDuration.Micros()):
 		return nil, fmt.Errorf("fabriccache: slice duration differs")
-	}
-	if mp := int(binary.LittleEndian.Uint32(data[48:])); mp != effMaxParallel(p.MaxParallel) {
+	case mp != effMaxParallel(p.MaxParallel):
 		return nil, fmt.Errorf("fabriccache: maxParallel %d, want %d", mp, effMaxParallel(p.MaxParallel))
+	case n != fab.NumToRs || d != fab.Uplinks || s != fab.Sched.S:
+		return nil, fmt.Errorf("fabriccache: (n, d, s) = (%d, %d, %d), want (%d, %d, %d)", n, d, s, fab.NumToRs, fab.Uplinks, fab.Sched.S)
 	}
-	if n := int(binary.LittleEndian.Uint32(data[52:])); n != fab.NumToRs {
-		return nil, fmt.Errorf("fabriccache: n = %d, want %d", n, fab.NumToRs)
-	}
-	if d := int(binary.LittleEndian.Uint32(data[56:])); d != fab.Uplinks {
-		return nil, fmt.Errorf("fabriccache: d = %d, want %d", d, fab.Uplinks)
-	}
-	if s := int(binary.LittleEndian.Uint32(data[60:])); s != fab.Sched.S {
-		return nil, fmt.Errorf("fabriccache: s = %d, want %d", s, fab.Sched.S)
-	}
-	if got := binary.LittleEndian.Uint64(data[112:]); got != fnv64(fnvOffset, data[headerSize:]) {
-		return nil, fmt.Errorf("fabriccache: payload checksum mismatch")
-	}
-	sections := make([][]byte, 3)
-	for i := range sections {
-		off := binary.LittleEndian.Uint64(data[64+16*i:])
-		ln := binary.LittleEndian.Uint64(data[72+16*i:])
-		if off%8 != 0 || off < headerSize || off > uint64(len(data)) || ln > uint64(len(data))-off {
-			return nil, fmt.Errorf("fabriccache: section %d [%d,+%d) outside file of %d bytes", i, off, ln, len(data))
+	var blobs [3][]byte
+	for i, name := range []string{"spine", "store", "table"} {
+		if blobs[i], err = file.Body(name); err != nil {
+			return nil, fmt.Errorf("fabriccache: %w", err)
 		}
-		sections[i] = data[off : off+ln]
 	}
-	ps, err := core.DecodeCanonical(fab, p.Alpha, p.MaxParallel, sections[0], sections[1],
+	ps, err := core.DecodeCanonical(fab, p.Alpha, p.MaxParallel, blobs[0], blobs[1],
 		core.DecodeOptions{NoAlias: opt.NoAlias})
 	if err != nil {
 		return nil, err
 	}
-	table, err := routing.DecodePacked(sections[2], routing.DecodeOptions{NoAlias: opt.NoAlias})
+	table, err := routing.DecodePacked(blobs[2], routing.DecodeOptions{NoAlias: opt.NoAlias})
 	if err != nil {
 		return nil, err
 	}
@@ -341,16 +215,4 @@ func decode(data []byte, fab *topo.Fabric, p Params, opt Options) (*Fabric, erro
 		return nil, err
 	}
 	return &Fabric{PS: ps, Table: table}, nil
-}
-
-// readFile maps the file read-only, falling back to a plain read when
-// mapping is unavailable or refused.
-func readFile(path string, noMmap bool) (data []byte, mapped bool, err error) {
-	if !noMmap {
-		if data, ok := mapPath(path); ok {
-			return data, true, nil
-		}
-	}
-	data, err = os.ReadFile(path)
-	return data, false, err
 }

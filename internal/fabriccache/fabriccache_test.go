@@ -2,14 +2,25 @@ package fabriccache
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 	"testing"
+	"time"
 
+	"ucmp/internal/checkpoint"
 	"ucmp/internal/core"
 	"ucmp/internal/routing"
 	"ucmp/internal/topo"
+)
+
+// Layout of the container the fabric file lives in (internal/checkpoint):
+// its header size, its staging-file prefix and the age past which a staging
+// file counts as stale.
+const (
+	headerSize   = 40
+	tempPrefix   = ".ucmpckp-"
+	staleTempAge = 10 * time.Minute
 )
 
 func testFabric(t testing.TB, kind string, n, d int) *topo.Fabric {
@@ -185,6 +196,16 @@ func TestSaveOverwrites(t *testing.T) {
 	}
 }
 
+// decode validates a file image against the expected fabric and params and
+// rebuilds the path set and table.
+func decode(data []byte, fab *topo.Fabric, p Params, opt Options) (*Fabric, error) {
+	file, err := checkpoint.Parse(data, magic)
+	if err != nil {
+		return nil, fmt.Errorf("fabriccache: %w", err)
+	}
+	return build(file, fab, p, opt)
+}
+
 // FuzzLoad: arbitrary file images never panic the loader.
 func FuzzLoad(f *testing.F) {
 	fab := testFabric(f, "round-robin", 8, 4)
@@ -276,5 +297,66 @@ func TestStaleTempCleanup(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cache file itself was touched: %v", err)
+	}
+}
+
+// TestSaveRenameFailure: when Save's final rename fails (the target path is
+// a non-empty directory), it errors and leaves no staging file behind.
+func TestSaveRenameFailure(t *testing.T) {
+	fab := testFabric(t, "round-robin", 8, 4)
+	p := Params{Alpha: 0.5}
+	ps, table := compile(t, fab, p)
+	dir := t.TempDir()
+	path := FileName(dir, fab, p)
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(path, ps, table); err == nil {
+		t.Fatal("Save onto a non-empty directory succeeded")
+	}
+	temps, _ := filepath.Glob(filepath.Join(dir, tempPrefix+"*"))
+	if len(temps) != 0 {
+		t.Fatalf("staging files left behind: %v", temps)
+	}
+}
+
+// TestKindsDoNotCross: a fabric file does not load as a checkpoint, and a
+// checkpoint-kind file carrying the very sections of a fabric file does not
+// load as a fabric.
+func TestKindsDoNotCross(t *testing.T) {
+	fab := testFabric(t, "round-robin", 8, 4)
+	p := Params{Alpha: 0.5}
+	ps, table := compile(t, fab, p)
+	dir := t.TempDir()
+	path := FileName(dir, fab, p)
+	if err := Save(path, ps, table); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Load(path); err == nil {
+		t.Fatal("fabric file loaded as a checkpoint")
+	}
+
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := checkpoint.Parse(img, magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := checkpoint.NewWriter(checkpoint.Magic)
+	for _, name := range file.Names() {
+		body, _ := file.Body(name)
+		w.Section(name).Append(func(b []byte) []byte { return append(b, body...) })
+	}
+	ckpt := filepath.Join(dir, "fabric-as.ucmpckp")
+	if err := w.Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Load(ckpt); err != nil {
+		t.Fatalf("re-labelled file is not a valid checkpoint: %v", err)
+	}
+	if _, err := Load(ckpt, fab, p, Options{}); err == nil {
+		t.Fatal("checkpoint loaded as a fabric file")
 	}
 }

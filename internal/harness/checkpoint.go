@@ -50,24 +50,31 @@ func configKey(cfg SimConfig, flows []*netsim.Flow) string {
 	return b.String()
 }
 
+// snapshot encodes the full simulation state under the config key.
+func (st *simState) snapshot(key string) (*checkpoint.Writer, error) {
+	w := checkpoint.NewWriter(checkpoint.Magic)
+	w.Section("config").Str(key)
+	if err := st.net.Snapshot(w); err != nil {
+		return nil, err
+	}
+	if err := st.stack.Snapshot(w); err != nil {
+		return nil, err
+	}
+	st.col.Snapshot(w)
+	return w, nil
+}
+
 // writeCheckpoint snapshots the full simulation into the configuration's
 // checkpoint file, atomically replacing the previous snapshot. Failures
 // (full disk, read-only directory, an unserializable model) degrade to a
 // stderr warning — losing a checkpoint must never kill the run it protects.
 func (st *simState) writeCheckpoint(key string) {
-	w := checkpoint.NewWriter()
-	w.Section("config").Str(key)
-	if err := st.net.Snapshot(w); err != nil {
+	w, err := st.snapshot(key)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "harness: checkpoint skipped: %v\n", err)
 		return
 	}
-	if err := st.stack.Snapshot(w); err != nil {
-		fmt.Fprintf(os.Stderr, "harness: checkpoint skipped: %v\n", err)
-		return
-	}
-	st.col.Snapshot(w)
-	path := checkpoint.FileName(st.cfg.CheckpointDir, key)
-	if err := w.Save(path); err != nil {
+	if err := w.Save(checkpoint.FileName(st.cfg.CheckpointDir, key)); err != nil {
 		fmt.Fprintf(os.Stderr, "harness: checkpoint not written: %v\n", err)
 	}
 }

@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ucmp/internal/checkpoint"
 	"ucmp/internal/failure"
 	"ucmp/internal/sim"
 	"ucmp/internal/transport"
@@ -21,7 +23,7 @@ type ckptCase struct {
 
 // midSlice lands checkpoint instants strictly inside a slice; onBoundary
 // lands them exactly on slice starts. Both must restore bit-identically.
-func midSlice(slice sim.Time) sim.Time  { return 10*slice + slice/3 }
+func midSlice(slice sim.Time) sim.Time   { return 10*slice + slice/3 }
 func onBoundary(slice sim.Time) sim.Time { return 16 * slice }
 
 func ckptCases() []ckptCase {
@@ -123,6 +125,56 @@ func TestDifferentialCheckpointResume(t *testing.T) {
 			if got := ckptFingerprint(t, rsres); got != want {
 				t.Fatalf("resume diverged:\n--- plain ---\n%s\n--- resumed ---\n%s", want, got)
 			}
+		})
+	}
+}
+
+// TestSnapshotRestoreIdempotent: restoring the latest checkpoint into a
+// fresh simulation and snapshotting it again at once reproduces the file
+// byte for byte, so no field is dropped by either the encode or the decode
+// side of any layer's section.
+func TestSnapshotRestoreIdempotent(t *testing.T) {
+	for _, tc := range ckptCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := tc.cfg
+			ck.CheckpointDir = t.TempDir()
+			ck.CheckpointEvery = tc.every(ck.Topo.SliceDuration)
+			if _, err := Run(ck); err != nil {
+				t.Fatal(err)
+			}
+			st, err := buildSim(ck, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.restoreCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			key := configKey(st.cfg, st.flows)
+			want, err := os.ReadFile(checkpoint.FileName(ck.CheckpointDir, key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := st.snapshot(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := w.Encode()
+			if bytes.Equal(got, want) {
+				return
+			}
+			wf, err1 := checkpoint.Parse(want, checkpoint.Magic)
+			gf, err2 := checkpoint.Parse(got, checkpoint.Magic)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("re-snapshot differs from the restored file (%v, %v)", err1, err2)
+			}
+			for _, name := range wf.Names() {
+				wb, _ := wf.Body(name)
+				gb, err := gf.Body(name)
+				if err != nil || !bytes.Equal(wb, gb) {
+					t.Errorf("section %q: re-snapshot differs from the restored file (%d vs %d bytes)", name, len(gb), len(wb))
+				}
+			}
+			t.Fatalf("re-snapshot differs from the restored file (%d vs %d bytes)", len(got), len(want))
 		})
 	}
 }

@@ -119,7 +119,7 @@ func (b *sweepBook) record(t Trial, r *Result) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w := checkpoint.NewWriter()
+	w := checkpoint.NewWriter(checkpoint.Magic)
 	enc := w.Section("sweep")
 	enc.Len(len(keys))
 	for _, k := range keys {

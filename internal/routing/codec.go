@@ -3,8 +3,10 @@ package routing
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ucmp/internal/byteview"
+	"ucmp/internal/checkpoint"
 )
 
 // Packed-table codec (DESIGN.md §15). Blob layout, all little-endian, each
@@ -36,6 +38,9 @@ type DecodeOptions struct {
 // to be aliased at decode time.
 func (t *CompiledTable) AppendPacked(out []byte) []byte {
 	base := len(out)
+	// Reserve the whole blob (four count words and their padding, then the
+	// records) so a large table is written without reallocating.
+	out = slices.Grow(out, 48+4*len(t.cellStart)+8*(len(t.entries)+len(t.acts)+len(t.hops)))
 	u32 := func(v int) { out = binary.LittleEndian.AppendUint32(out, uint32(v)) }
 	pad := func() {
 		for (len(out)-base)%8 != 0 {
@@ -74,102 +79,37 @@ func (t *CompiledTable) AppendPacked(out []byte) []byte {
 	return out
 }
 
-// blobReader walks a codec blob with bounds checking: every read that would
-// pass the end returns an error instead of panicking, so corrupted or
-// truncated files surface as errors and never as partial tables.
-type blobReader struct {
-	b   []byte
-	off int
-}
-
-func (r *blobReader) u32(what string) (int, error) {
-	if r.off+4 > len(r.b) {
-		return 0, fmt.Errorf("routing: truncated table blob at %s (offset %d)", what, r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return int(int32(v)), nil
-}
-
-func (r *blobReader) pad8() {
-	for r.off%8 != 0 {
-		r.off++
-	}
-}
-
-// array reserves n records of recSize bytes and returns their region.
-func (r *blobReader) array(what string, n, recSize int) ([]byte, error) {
-	if n < 0 || n > (len(r.b)-r.off)/recSize {
-		return nil, fmt.Errorf("routing: table blob claims %d %s beyond its %d bytes", n, what, len(r.b))
-	}
-	reg := r.b[r.off : r.off+n*recSize]
-	r.off += n * recSize
-	return reg, nil
-}
-
 // DecodePacked rebuilds a CompiledTable from a codec blob, aliasing the
 // arrays into the blob when possible (see package comment). It fully
 // bounds-checks the structure — counts against the blob length, spans
 // against their arrays, cell starts against the entry count — so untrusted
 // input yields an error, never a panic or an out-of-range table.
 func DecodePacked(blob []byte, opt DecodeOptions) (*CompiledTable, error) {
-	r := &blobReader{b: blob}
+	d := checkpoint.NewDecoder(blob)
 	t := &CompiledTable{}
-	var err error
-	if t.Tor, err = r.u32("tor"); err != nil {
-		return nil, err
+	t.Tor = int(d.I32())
+	t.n = int(d.I32())
+	t.s = int(d.I32())
+	t.nb = int(d.I32())
+	// array reads a record count, the padding to 8 and the records' region.
+	array := func(recSize int) (int, []byte) {
+		n := d.Count(recSize)
+		d.Align(8)
+		return n, d.Raw(n * recSize)
 	}
-	if t.n, err = r.u32("n"); err != nil {
-		return nil, err
-	}
-	if t.s, err = r.u32("s"); err != nil {
-		return nil, err
-	}
-	if t.nb, err = r.u32("nb"); err != nil {
-		return nil, err
+	nCells, cellRegion := array(4)
+	nEntries, entryRegion := array(8)
+	nActs, actRegion := array(8)
+	nHops, hopRegion := array(8)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("routing: table blob: %w", err)
 	}
 	if t.n <= 0 || t.s <= 0 || t.nb <= 0 || t.Tor < 0 || t.Tor >= t.n ||
 		t.n > 1<<20 || t.s > 1<<20 {
 		return nil, fmt.Errorf("routing: implausible table dimensions tor=%d n=%d s=%d nb=%d", t.Tor, t.n, t.s, t.nb)
 	}
-	nCells, err := r.u32("nCells")
-	if err != nil {
-		return nil, err
-	}
 	if nCells != t.n*t.s+1 {
 		return nil, fmt.Errorf("routing: cell count %d, want %d", nCells, t.n*t.s+1)
-	}
-	r.pad8()
-	cellRegion, err := r.array("cells", nCells, 4)
-	if err != nil {
-		return nil, err
-	}
-	nEntries, err := r.u32("nEntries")
-	if err != nil {
-		return nil, err
-	}
-	r.pad8()
-	entryRegion, err := r.array("entries", nEntries, 8)
-	if err != nil {
-		return nil, err
-	}
-	nActs, err := r.u32("nActs")
-	if err != nil {
-		return nil, err
-	}
-	r.pad8()
-	actRegion, err := r.array("acts", nActs, 8)
-	if err != nil {
-		return nil, err
-	}
-	nHops, err := r.u32("nHops")
-	if err != nil {
-		return nil, err
-	}
-	r.pad8()
-	hopRegion, err := r.array("hops", nHops, 8)
-	if err != nil {
-		return nil, err
 	}
 
 	if opt.NoAlias {
