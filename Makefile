@@ -4,7 +4,9 @@
 # intentional concurrency (the parallel offline build in internal/core, the
 # engine in internal/sim, and the parallel trial runner in internal/harness)
 # plus the wheel/heap differential tests, which are the determinism pin for
-# the timing-wheel scheduler.
+# the timing-wheel scheduler. The sharded engine's barrier-separated phases
+# are its only concurrent code, so its tests run ten times over under the
+# race detector to give interleavings more chances to show.
 
 GO ?= go
 
@@ -32,6 +34,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/sim/...
+	$(GO) test -race -count=10 -run 'TestSharded|TestDifferentialSerialSharded' ./internal/sim
 	$(GO) test -race -run 'TestCompiledTableBytesSymmetricVsBrute|TestSymmetricFastPathMatchesGroupPath|TestTableSetEviction|TestCompiledTableAgreesWithRouter|TestCongestionCanonicalMatchesBrute|TestCongestionPickZeroAlloc|TestPackedCodecRoundTrip' ./internal/routing
 	$(GO) test -race -run 'TestTrialReplicationDeterminism|TestWorkerCount|TestDifferentialWheelHeap|TestDifferentialSerialSharded|TestDifferentialLazyTables|TestDifferentialCongestionSharded|TestDifferentialWarmFabric|TestDifferentialCheckpointResume|TestSnapshotRestoreIdempotent|TestResumeMissingCheckpoint|TestResumeCorruptionRejected|TestSweepResume|TestRunTrialsPanicRecovery|TestCongestionSteeringChangesOutcome|TestTableCacheCapConfig|TestShardableGate|TestShardsValidation|TestShardedNonDividing64' ./internal/harness
 

@@ -215,8 +215,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "(%s sched: pending-hwm %d, cascades %d, overflow %d, cancels %d, dead-pops %d, chases %d)\n",
 					e, s.PendingHighWater, s.Cascades, s.OverflowPushes, s.Cancels, s.DeadPops, s.Chases)
 				if sh := harness.TakeShardStats(); sh.Windows > 0 {
-					fmt.Fprintf(os.Stderr, "(%s shards: windows %d, barriers %d, extensions %d, cross-events %d, merge-batches %d, serial-merges %d, mailbox-hwm %d, steals %d)\n",
-						e, sh.Windows, sh.Barriers, sh.Extensions, sh.CrossEvents, sh.MergeBatches, sh.SerialMerges, sh.MailboxHighWater, sh.Steals)
+					fmt.Fprintf(os.Stderr, "(%s shards: windows %d, barriers %d, cross-events %d, merge-batches %d, mailbox-hwm %d)\n",
+						e, sh.Windows, sh.Barriers, sh.CrossEvents, sh.MergeBatches, sh.MailboxHighWater)
 				}
 			}
 			fmt.Fprintln(os.Stderr)

@@ -119,7 +119,10 @@ func runWithAlphaController(cfg SimConfig, target float64) (*Result, []alphaTrac
 	net.Stamper = router.StampBucket
 	net.Start()
 
-	flows := generateFlows(base)
+	flows, err := generateFlows(base)
+	if err != nil {
+		return nil, nil, err
+	}
 	col := newCollector(net, len(flows))
 	stack := transport.NewStack(net, base.Transport)
 	for _, f := range flows {
@@ -155,6 +158,7 @@ func runWithAlphaController(cfg SimConfig, target float64) (*Result, []alphaTrac
 	eng.After(tick, control)
 	eng.Run(horizon)
 	recordSchedStats(eng.SchedStats())
+	eventsProcessed.Add(eng.Processed())
 
 	return &Result{
 		Config:         base,
@@ -164,6 +168,7 @@ func runWithAlphaController(cfg SimConfig, target float64) (*Result, []alphaTrac
 		ReroutedFrac:   net.ReroutedFraction(),
 		CompletionRate: col.CompletionRate(),
 		Launched:       len(flows),
+		Events:         eng.Processed(),
 		JainCumulative: net.JainCumulative(),
 		Flows:          net.Flows(),
 	}, trace, nil

@@ -58,3 +58,29 @@ func TestExtensionAlphaController(t *testing.T) {
 	}
 	_ = rep.String()
 }
+
+// TestExtensionAlphaControllerCountsEvents pins the controller run's event
+// accounting: its Result carries the engine's event count and the same
+// count reaches TakeEvents, so `ucmpbench -exp extension` reports events/s
+// over both the events and the wall time of the run.
+func TestExtensionAlphaControllerCountsEvents(t *testing.T) {
+	base := quickBase()
+	base.Workload = "websearch"
+	base.Horizon = 2_000_000 // 2ms
+	TakeEvents()
+	res, _, err := runWithAlphaController(base, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events == 0 {
+		t.Fatal("controller run reported no events")
+	}
+	if got := TakeEvents(); got != res.Events {
+		t.Fatalf("TakeEvents = %d, want the run's %d events", got, res.Events)
+	}
+
+	base.Workload = "no-such-workload"
+	if _, _, err := runWithAlphaController(base, 0.05); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+}

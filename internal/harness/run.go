@@ -92,7 +92,7 @@ type SimConfig struct {
 	// routing.
 	UseTables bool
 	// TableCacheCap bounds how many per-ToR tables the UseTables cache
-	// keeps materialized at once (FIFO eviction). 0 keeps the default
+	// keeps materialized at once (LRU eviction). 0 keeps the default
 	// (routing.DefaultTableCap); negative values are rejected. Ignored
 	// unless UseTables is set.
 	TableCacheCap int
@@ -425,28 +425,11 @@ func buildSim(cfg SimConfig, forRestore bool) (*simState, error) {
 		net.Start()
 	}
 
-	flows := cfg.Flows
-	if flows == nil {
-		dist, err := distByName(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
-		flows = workload.Generate(workload.PoissonConfig{
-			Dist:        dist,
-			NumHosts:    cfg.Topo.NumHosts(),
-			LinkBps:     cfg.Topo.LinkBps,
-			Load:        cfg.Load,
-			Duration:    cfg.Duration,
-			Seed:        cfg.Seed,
-			HostsPerToR: cfg.Topo.HostsPerToR,
-			MaxFlowSize: cfg.MaxFlowSize,
-			Hotspot:     cfg.Hotspot,
-		})
+	flows, err := generateFlows(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	col := &metrics.Collector{}
-	col.Hook(net)
-	col.CountLaunched(len(flows))
+	col := newCollector(net, len(flows))
 
 	stack := transport.NewStack(net, cfg.Transport)
 	for _, f := range flows {
@@ -577,13 +560,15 @@ func newUCMPFor(ps *core.PathSet, cfg SimConfig) *routing.UCMP {
 	return u
 }
 
-func generateFlows(cfg SimConfig) []*netsim.Flow {
+// generateFlows returns cfg.Flows when set, else the Poisson workload the
+// config names.
+func generateFlows(cfg SimConfig) ([]*netsim.Flow, error) {
 	if cfg.Flows != nil {
-		return cfg.Flows
+		return cfg.Flows, nil
 	}
 	dist, err := distByName(cfg.Workload)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	return workload.Generate(workload.PoissonConfig{
 		Dist:        dist,
@@ -595,7 +580,7 @@ func generateFlows(cfg SimConfig) []*netsim.Flow {
 		HostsPerToR: cfg.Topo.HostsPerToR,
 		MaxFlowSize: cfg.MaxFlowSize,
 		Hotspot:     cfg.Hotspot,
-	})
+	}), nil
 }
 
 func newCollector(net *netsim.Network, launched int) *metrics.Collector {

@@ -351,8 +351,7 @@ func TestShardsValidation(t *testing.T) {
 // TestShardedNonDividing64 is the domain-grouping differential at scale: a
 // 64-ToR ring permutation run serial and on shard counts that do not divide
 // the domain count, so the contiguous blocks are uneven (e.g. 64 on 7
-// shards: blocks of 10 and 9 domains) and work stealing crosses block
-// boundaries.
+// shards: blocks of 10 and 9 domains).
 func TestShardedNonDividing64(t *testing.T) {
 	cfg := ScaledConfig(UCMP, transport.DCTCP, "websearch")
 	cfg.Workload = ""

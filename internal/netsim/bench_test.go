@@ -145,12 +145,11 @@ func BenchmarkSaturation64Sharded(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkShardScaling is the multicore scaling record behind
-// results/BENCH_pr6.json: the 64-ToR permutation at worker counts 1..16
-// plus the serial engine as the 1x reference. Run it with all cores
-// (`make bench-scaling`); the committed per-count events/s numbers are what
-// the ISSUE-6 acceptance bar (sharded >= 2.5x serial at 8 shards on
-// GOMAXPROCS >= 8) is checked against in CI.
+// BenchmarkShardScaling is the sharded engine's scaling sweep: the 64-ToR
+// permutation at worker counts 1..16 plus the serial engine as the 1x
+// reference. Run it with all cores (`make bench-scaling`) or pin the core
+// count with -cpu; no CI job runs it. results/BENCH_pr6.json holds a
+// single-core record of it.
 func BenchmarkShardScaling(b *testing.B) {
 	cfg, mkFlows, horizon := saturation64()
 	env := newBenchEnv(cfg)
@@ -242,9 +241,8 @@ func (e *benchEnv) runCongestion64(b *testing.B, workers int, flows []*netsim.Fl
 
 // BenchmarkCongestionSharded is the congestion-aware multicore ladder: the
 // congestion64 scenario on the serial engine and at 1/2/4/8/16 workers.
-// Like BenchmarkShardScaling it wants all cores (the committed >1x-at-4+-
-// workers numbers come from the CI bench job); under GOMAXPROCS=1 the
-// sharded rungs record overhead, not speedup. The serial rung doubles as
+// Like BenchmarkShardScaling it wants all cores and no CI job runs it;
+// under GOMAXPROCS=1 the sharded rungs record overhead, not speedup. The serial rung doubles as
 // the engaged-steering hot-path exhibit for the regression gate.
 func BenchmarkCongestionSharded(b *testing.B) {
 	cfg, mkFlows, horizon := congestion64()

@@ -19,39 +19,27 @@ import (
 // goes through Send and a per-(src,dst) mailbox.
 //
 // Domains are grouped onto workers: worker w statically owns the contiguous
-// block [w·D/W, (w+1)·D/W) and claims its domains through an atomic cursor,
-// so idle workers steal leftover domains from other blocks inside the same
-// window. Which worker runs a domain never affects the outcome — domain
-// execution within a window is independent and the merge order below is a
-// total order — so stealing keeps determinism for free.
+// block [w·D/W, (w+1)·D/W) and runs exactly those domains, merging and
+// executing them, in every window.
 //
-// One window executes [W, W+window) where W is the global next-event time,
-// so idle stretches are skipped in one step. Within the window every domain
-// runs its own events on its own timing wheel with no synchronization;
-// cross-domain sends are buffered. At the barrier the buffered sends are
-// merged into the destination wheels in (at, born, src, seq) order — a
-// total order independent of worker count and scheduling, which makes a
-// sharded run bit-for-bit reproducible and, for models whose same-instant
-// cross-domain events are ordered the same way serially (see DESIGN.md
-// §10), identical to the serial engine.
-//
-// Windows adapt: when a window executes events but buffers no cross-domain
-// send, the workers extend it by another `window` nanoseconds without
-// returning to the coordinator — one barrier per extension instead of a
-// full coordinator round (next-event scan, publish, merge decision). The
-// decision is taken inside the barrier by the last arriving worker (the
-// barrier "fold"), so every participant observes the same verdict and the
-// extension is deterministic.
+// Every window follows one fixed schedule. The coordinator publishes
+// lim = min(W+window−1, until, next global−1), where W is the global
+// next-event time (so idle stretches are skipped in one step), and meets
+// the workers at barrier A. If cross-domain events are pending, each worker
+// merges the mailboxes of the destinations in its own block, in
+// (at, born, src, seq) order, and all meet at barrier B. Each worker then
+// runs its block's domains up to lim on their own timing wheels with no
+// synchronization, buffering cross-domain sends, and all meet at barrier C.
+// The merge order is a total order independent of worker count and
+// scheduling, which makes a sharded run bit-for-bit reproducible and, for
+// models whose same-instant cross-domain events are ordered the same way
+// serially (see DESIGN.md §10), identical to the serial engine.
 //
 // Safety argument: an event executing at te ∈ [W, W+window) can only
 // schedule cross-domain work at te+window or later, which is ≥ W+window —
 // strictly after the window every domain is concurrently executing. So no
 // domain can receive a cross-domain event for the window it is currently
-// running, and merging at the barrier preserves timestamp order. Each
-// extension re-applies the same argument to [lim+1, lim+window]: a send
-// from the extension round lands strictly after it, and a round that sends
-// stops further extension, so no executed frontier ever passes a buffered
-// event.
+// running, and merging before the next window preserves timestamp order.
 type ShardedEngine struct {
 	doms    []*Engine
 	window  Time
@@ -71,25 +59,13 @@ type ShardedEngine struct {
 	sent    []uint64
 	minSent []Time
 
-	// Static domain blocks and claim cursors: worker w owns domains
-	// [base[w], base[w+1]); cur[w] is the block's claim cursor, reset inside
-	// barrier folds (or by the coordinator while workers are parked).
-	base  []int
-	cur   []padCursor
-	steal bool
+	// Static domain blocks: worker w owns domains [base[w], base[w+1]).
+	base []int
 
 	// Published by the coordinator before barrier A, read by workers after.
 	lim       Time
-	maxLim    Time // extension ceiling: min(until, next global - 1)
 	needMerge bool
 	exit      bool
-
-	// Sub-round flags: set by workers during a run round, consumed and reset
-	// by the extension fold with every other participant parked at the
-	// barrier.
-	roundSent atomic.Uint32
-	roundRan  atomic.Uint32
-	extend    bool // fold verdict, read by all participants after release
 
 	bar barrier
 
@@ -105,22 +81,9 @@ type ShardedEngine struct {
 	// hot path; folded into the totals by Stats).
 	mergeBatches []uint64
 	mergeHW      []int
-	steals       []uint64
 
 	stats ShardStats
 }
-
-// padCursor is a cache-line padded atomic claim cursor (one per worker
-// block); padding keeps concurrent claims from false-sharing.
-type padCursor struct {
-	next atomic.Int64
-	_    [56]byte
-}
-
-// serialMergeMax is the mailbox batch size up to which the coordinator
-// merges alone between windows (workers stay parked, saving a barrier);
-// larger batches use the parallel merge phase.
-const serialMergeMax = 256
 
 // xevent is one cross-domain event in a mailbox. born is the sender's
 // virtual time at Send; together with (src, seq) it extends the timestamp
@@ -143,30 +106,20 @@ type globalEvent struct {
 }
 
 // ShardStats exposes the parallel engine's internals for throughput
-// diagnostics (cmd/ucmpbench -schedstats with -shards). All fields except
-// Steals are deterministic for a given model; Steals depends on runtime
-// scheduling.
+// diagnostics (cmd/ucmpbench -schedstats with -shards). Every field is a
+// function of the model alone: the same for any worker count.
 type ShardStats struct {
 	// Windows is the number of bulk-synchronous windows executed.
 	Windows uint64
 	// Barriers counts barrier crossings: two per window (publish + run),
-	// plus one per extension round, plus one when a parallel merge ran.
+	// plus one when the window opened with a merge phase.
 	Barriers uint64
-	// Extensions counts adaptive window extensions (run rounds executed
-	// beyond the first without a coordinator round).
-	Extensions uint64
 	// CrossEvents counts events routed through the mailboxes.
 	CrossEvents uint64
 	// MergeBatches counts non-empty per-destination merge batches.
 	MergeBatches uint64
-	// SerialMerges counts windows whose mailbox batch was small enough for
-	// the coordinator to merge alone (no parallel merge phase or barrier).
-	SerialMerges uint64
 	// MailboxHighWater is the largest single merge batch observed.
 	MailboxHighWater int
-	// Steals counts domains run by a worker outside its static block. Not
-	// deterministic — it reflects OS scheduling, not the model.
-	Steals uint64
 }
 
 // NewShardedEngine builds a parallel engine with `domains` independent
@@ -197,12 +150,9 @@ func NewShardedEngine(domains, workers int, window Time, kind QueueKind) *Sharde
 		sent:         make([]uint64, domains),
 		minSent:      make([]Time, domains),
 		base:         make([]int, workers+1),
-		cur:          make([]padCursor, workers),
-		steal:        true,
 		crossMin:     maxTime,
 		mergeBatches: make([]uint64, workers),
 		mergeHW:      make([]int, workers),
-		steals:       make([]uint64, workers),
 	}
 	for i := range s.doms {
 		s.doms[i] = NewEngineQueue(kind)
@@ -228,11 +178,6 @@ func (s *ShardedEngine) Window() Time { return s.window }
 
 // Workers returns the number of worker goroutines Run uses.
 func (s *ShardedEngine) Workers() int { return s.workers }
-
-// SetStealing toggles cross-block work stealing (on by default). With it
-// off, each worker runs exactly its static block — useful to isolate
-// stealing in benchmarks; results are identical either way.
-func (s *ShardedEngine) SetStealing(on bool) { s.steal = on }
 
 // Send schedules fn(arg) at absolute time `at` in domain dst, from an event
 // currently executing in domain src. It must satisfy the lookahead
@@ -275,7 +220,6 @@ func (s *ShardedEngine) FlushMailboxes() {
 	}
 	s.stats.CrossEvents += s.pendingCross
 	s.mergeRange(0, 0, len(s.doms))
-	s.stats.SerialMerges++
 	s.pendingCross = 0
 	s.crossMin = maxTime
 }
@@ -289,9 +233,8 @@ func (s *ShardedEngine) RestoreGlobalNow(t Time) { s.globalNow = t }
 // domain. Global callbacks run between windows with every worker parked at
 // the barrier, so they may read (and carefully write) cross-domain state —
 // the harness uses them for fabric-wide sampling. Windows never straddle a
-// global's timestamp, and adaptive extension never crosses one. Global may
-// be called before Run or from within a global callback, not from domain
-// events.
+// global's timestamp. Global may be called before Run or from within a
+// global callback, not from domain events.
 func (s *ShardedEngine) Global(at Time, fn func()) {
 	if at < s.globalNow {
 		panic(fmt.Sprintf("sim: scheduling global event at %v before now %v", at, s.globalNow))
@@ -336,7 +279,6 @@ func (s *ShardedEngine) Stats() ShardStats {
 	out := s.stats
 	for w := 0; w < s.workers; w++ {
 		out.MergeBatches += s.mergeBatches[w]
-		out.Steals += s.steals[w]
 		if s.mergeHW[w] > out.MailboxHighWater {
 			out.MailboxHighWater = s.mergeHW[w]
 		}
@@ -382,15 +324,6 @@ func (s *ShardedEngine) minGlobalAt() (Time, bool) {
 		}
 	}
 	return t, true
-}
-
-// resetCursors rewinds every block's claim cursor. Callers must hold the
-// quiescence the barrier provides: either inside a fold or with all other
-// participants parked.
-func (s *ShardedEngine) resetCursors() {
-	for w := range s.cur {
-		s.cur[w].next.Store(0)
-	}
 }
 
 // Run executes events across all domains until every pending event
@@ -439,40 +372,25 @@ func (s *ShardedEngine) Run(until Time) Time {
 		if !ok || t > until {
 			break
 		}
-		maxLim := until
-		if g, gok := s.minGlobalAt(); gok && g-1 < maxLim {
-			maxLim = g - 1 // never straddle a global's timestamp
-		}
 		lim := t + s.window - 1
-		if lim > maxLim {
-			lim = maxLim
+		if lim > until {
+			lim = until
+		}
+		if g, gok := s.minGlobalAt(); gok && g-1 < lim {
+			lim = g - 1 // never straddle a global's timestamp
 		}
 		s.lim = lim
-		s.maxLim = maxLim
+		s.needMerge = s.pendingCross > 0
 		s.stats.Windows++
 		s.stats.Barriers += 2
-		s.needMerge = false
-		if s.pendingCross > 0 {
+		if s.needMerge {
 			s.stats.CrossEvents += s.pendingCross
-			if s.pendingCross <= serialMergeMax || s.workers == 1 {
-				// Small batch: merge here with the workers parked — no
-				// dedicated merge phase, no extra barrier.
-				s.mergeRange(0, 0, len(s.doms))
-				s.stats.SerialMerges++
-			} else {
-				s.needMerge = true
-				s.stats.Barriers++
-			}
+			s.stats.Barriers++
 			s.pendingCross = 0
 			s.crossMin = maxTime
 		}
-		s.resetCursors()             // workers are parked at A; quiescent
-		s.bar.wait(&coordSense, nil) // A: window published
-		if s.needMerge {
-			s.mergeClaim(0)
-			s.bar.wait(&coordSense, s.resetCursors) // B: mailboxes drained
-		}
-		s.runPhase(0, &coordSense)
+		s.bar.wait(&coordSense) // A: window published
+		s.step(0, &coordSense)
 		for d := range s.doms {
 			s.pendingCross += s.sent[d]
 			if s.minSent[d] < s.crossMin {
@@ -487,143 +405,41 @@ func (s *ShardedEngine) Run(until Time) Time {
 		d.Run(until)
 	}
 	s.exit = true
-	s.bar.wait(&coordSense, nil)
+	s.bar.wait(&coordSense)
 	wg.Wait()
 	s.exit = false
 	s.globalNow = until
 	return until
 }
 
-// workerLoop is the body of workers 1..N-1; the coordinator inlines the
-// same phase sequence inside Run.
+// workerLoop is the body of workers 1..N-1; the coordinator runs the same
+// step inside Run.
 func (s *ShardedEngine) workerLoop(w int) {
 	sense := uint32(0)
 	for {
-		s.bar.wait(&sense, nil) // A
+		s.bar.wait(&sense) // A
 		if s.exit {
 			return
 		}
-		if s.needMerge {
-			s.mergeClaim(w)
-			s.bar.wait(&sense, s.resetCursors) // B
-		}
-		s.runPhase(w, &sense)
+		s.step(w, &sense)
 	}
 }
 
-// runPhase executes the published window, then keeps extending it while
-// the extension fold says to: each round runs [lim_prev+1, lim] across all
-// domains, meets at the barrier, and the last arriver decides — inside the
-// barrier, so every participant sees the same verdict — whether another
-// `window` nanoseconds can run without a coordinator round. The final
-// round's barrier doubles as the old barrier C.
-func (s *ShardedEngine) runPhase(w int, sense *uint32) {
-	for {
-		ran, sentAny := s.runClaim(w)
-		if ran {
-			s.roundRan.Store(1)
-		}
-		if sentAny {
-			s.roundSent.Store(1)
-		}
-		s.bar.wait(sense, s.extendFold)
-		if !s.extend {
-			return
-		}
+// step is worker w's share of one published window: merge the mailboxes of
+// the destinations in its block (when any are pending), meet at barrier B,
+// run its block's domains up to lim, and meet at barrier C.
+func (s *ShardedEngine) step(w int, sense *uint32) {
+	base, end := s.base[w], s.base[w+1]
+	if s.needMerge {
+		s.mergeRange(w, base, end)
+		s.bar.wait(sense) // B: mailboxes drained
 	}
-}
-
-// extendFold runs inside the run-round barrier (all other participants
-// parked): it consumes the round flags, rewinds the claim cursors, and
-// decides whether to extend. Extension requires the round to have executed
-// events (otherwise the coordinator's next-event scan skips idle time in
-// one step) and buffered no cross-domain send (a send must merge before
-// any domain passes its timestamp).
-func (s *ShardedEngine) extendFold() {
-	sent := s.roundSent.Load() != 0
-	ran := s.roundRan.Load() != 0
-	s.roundSent.Store(0)
-	s.roundRan.Store(0)
-	s.resetCursors()
-	if !sent && ran && s.lim < s.maxLim {
-		lim := s.lim + s.window
-		if lim > s.maxLim {
-			lim = s.maxLim
-		}
-		s.lim = lim
-		s.extend = true
-		s.stats.Extensions++
-		s.stats.Barriers++
-		return
+	for d := base; d < end; d++ {
+		s.sent[d] = 0
+		s.minSent[d] = maxTime
+		s.doms[d].Run(s.lim)
 	}
-	s.extend = false
-}
-
-// runClaim runs the current round in every domain worker w claims: its own
-// static block first, then (with stealing on) leftovers from other blocks.
-// It reports whether any claimed domain executed events and whether any
-// buffered a cross-domain send.
-func (s *ShardedEngine) runClaim(w int) (ran, sentAny bool) {
-	lim := s.lim
-	blocks := s.workers
-	if !s.steal {
-		blocks = 1
-	}
-	var stole uint64
-	for v := 0; v < blocks; v++ {
-		vw := w + v
-		if vw >= s.workers {
-			vw -= s.workers
-		}
-		base, end := s.base[vw], s.base[vw+1]
-		for {
-			d := base + int(s.cur[vw].next.Add(1)) - 1
-			if d >= end {
-				break
-			}
-			if vw != w {
-				stole++
-			}
-			dom := s.doms[d]
-			s.sent[d] = 0
-			s.minSent[d] = maxTime
-			before := dom.processed
-			dom.Run(lim)
-			if dom.processed != before {
-				ran = true
-			}
-			if s.sent[d] > 0 {
-				sentAny = true
-			}
-		}
-	}
-	if stole > 0 {
-		s.steals[w] += stole
-	}
-	return ran, sentAny
-}
-
-// mergeClaim drains destination mailboxes in the parallel merge phase,
-// claiming destinations the same way runClaim claims domains.
-func (s *ShardedEngine) mergeClaim(w int) {
-	blocks := s.workers
-	if !s.steal {
-		blocks = 1
-	}
-	for v := 0; v < blocks; v++ {
-		vw := w + v
-		if vw >= s.workers {
-			vw -= s.workers
-		}
-		base, end := s.base[vw], s.base[vw+1]
-		for {
-			dst := base + int(s.cur[vw].next.Add(1)) - 1
-			if dst >= end {
-				break
-			}
-			s.mergeRange(w, dst, dst+1)
-		}
-	}
+	s.bar.wait(sense) // C: window run
 }
 
 // mergeRange drains the mailboxes of destinations [lo, hi) into their
@@ -687,12 +503,6 @@ func sortXevents(buf []xevent) {
 // pure spin would starve the worker the barrier is waiting for. The
 // happens-before chain (arrival Add, release Store, waiter Load) makes
 // plain fields written before a wait visible to every worker after it.
-//
-// wait optionally takes a fold: the last participant to arrive runs it
-// before releasing the others. Everything the fold writes is visible to
-// every participant after release, and the fold runs with all other
-// participants parked — a serialization point in the middle of a parallel
-// phase, used for the adaptive-extension verdict and cursor rewinds.
 type barrier struct {
 	n     int32
 	count atomic.Int32
@@ -715,23 +525,16 @@ func (b *barrier) reset() {
 	b.sense.Store(0)
 }
 
-// wait blocks until all n participants arrive, running fold (when non-nil)
-// on the last arriver before release. sense is the caller's
+// wait blocks until all n participants arrive. sense is the caller's
 // per-participant flag, flipped on every crossing.
-func (b *barrier) wait(sense *uint32, fold func()) {
+func (b *barrier) wait(sense *uint32) {
 	if b.n == 1 {
-		if fold != nil {
-			fold()
-		}
 		return
 	}
 	ns := *sense ^ 1
 	*sense = ns
 	if b.count.Add(1) == b.n {
 		b.count.Store(0)
-		if fold != nil {
-			fold()
-		}
 		b.sense.Store(ns)
 		return
 	}

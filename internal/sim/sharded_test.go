@@ -126,15 +126,9 @@ func runLatticeSerial(kind QueueKind, lanes int, seed int64, window Time, horizo
 }
 
 // runLatticeSharded runs the same model on a ShardedEngine, one lane per
-// domain.
-func runLatticeSharded(kind QueueKind, lanes, workers int, seed int64, window Time, horizons []Time, lattice bool) ([][]string, uint64) {
-	tr, n, _ := runLatticeShardedSteal(kind, lanes, workers, seed, window, horizons, lattice, true)
-	return tr, n
-}
-
-func runLatticeShardedSteal(kind QueueKind, lanes, workers int, seed int64, window Time, horizons []Time, lattice, steal bool) ([][]string, uint64, ShardStats) {
+// domain, and also returns the engine's stats.
+func runLatticeSharded(kind QueueKind, lanes, workers int, seed int64, window Time, horizons []Time, lattice bool) ([][]string, uint64, ShardStats) {
 	sh := NewShardedEngine(lanes, workers, window, kind)
-	sh.SetStealing(steal)
 	m := &shModel{
 		engOf:  sh.Domain,
 		send:   sh.Send,
@@ -199,7 +193,7 @@ func TestDifferentialSerialSharded(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 3, lanes} {
 				for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
-					tr, n := runLatticeSharded(kind, lanes, workers, seed, window, horizons, true)
+					tr, n, _ := runLatticeSharded(kind, lanes, workers, seed, window, horizons, true)
 					name := fmt.Sprintf("sharded workers=%d kind=%d", workers, kind)
 					compareTraces(t, name, serialTr, tr)
 					if n != serialN {
@@ -214,18 +208,25 @@ func TestDifferentialSerialSharded(t *testing.T) {
 // TestShardedWorkerCountDeterminism drops the lattice alignment (arbitrary
 // cross-domain tie patterns) and requires any two sharded runs to agree
 // regardless of worker count: the (at, born, src, seq) merge order is a
-// total order independent of scheduling.
+// total order independent of scheduling. Every window follows the same
+// schedule whatever the worker count, so the engine's stats must agree too.
 func TestShardedWorkerCountDeterminism(t *testing.T) {
 	const lanes = 6
 	const window = Time(777)
 	for seed := int64(1); seed <= 8; seed++ {
 		horizons := []Time{5 * window, 40 * window, Second}
-		base, baseN := runLatticeSharded(QueueWheel, lanes, 1, seed, window, horizons, false)
+		base, baseN, baseSt := runLatticeSharded(QueueWheel, lanes, 1, seed, window, horizons, false)
+		if baseSt.Windows == 0 || baseSt.CrossEvents == 0 || baseSt.MergeBatches == 0 {
+			t.Fatalf("seed %d: expected windows, cross events and merges, got %+v", seed, baseSt)
+		}
 		for _, workers := range []int{2, 3, lanes} {
-			tr, n := runLatticeSharded(QueueWheel, lanes, workers, seed, window, horizons, false)
+			tr, n, st := runLatticeSharded(QueueWheel, lanes, workers, seed, window, horizons, false)
 			compareTraces(t, fmt.Sprintf("seed %d workers 1 vs %d", seed, workers), base, tr)
 			if n != baseN {
 				t.Fatalf("seed %d: processed differs: %d vs %d", seed, baseN, n)
+			}
+			if st != baseSt {
+				t.Fatalf("seed %d: stats differ at %d workers: %+v vs %+v", seed, workers, baseSt, st)
 			}
 		}
 	}
@@ -288,13 +289,11 @@ func TestShardedGlobalEvents(t *testing.T) {
 	}
 }
 
-// TestShardedAdaptiveWindow pins the adaptive extension: with purely
-// domain-local traffic no round ever produces a cross-domain send, so the
-// coordinator keeps widening the window and the barrier count falls far
-// below two-per-base-window. A global event mid-run caps the extension: it
-// must still fire at its exact timestamp with every domain strictly before
-// it, and a horizon that is not a multiple of the window must land exactly.
-func TestShardedAdaptiveWindow(t *testing.T) {
+// TestShardedWindowLimits pins the window limit on purely domain-local
+// traffic: a global event mid-run caps a window, so it must fire at its
+// exact timestamp with every domain strictly before it, and a horizon that
+// is not a multiple of the window must land exactly.
+func TestShardedWindowLimits(t *testing.T) {
 	const window = Time(100)
 	const horizon = Time(123_457) // deliberately not window-aligned
 	sh := NewShardedEngine(4, 2, window, QueueWheel)
@@ -333,43 +332,8 @@ func TestShardedAdaptiveWindow(t *testing.T) {
 			t.Fatalf("domain %d ran no events", d)
 		}
 	}
-	st := sh.Stats()
-	if st.Extensions == 0 {
-		t.Fatalf("local-only traffic produced no window extensions: %+v", st)
-	}
-	// Without extensions the run costs 2 barriers per base window; with them
-	// most windows collapse into extension rounds at 1 barrier each.
-	naive := 2 * uint64(horizon/window)
-	if st.Barriers >= naive {
-		t.Fatalf("adaptive windows did not reduce barriers: %d >= naive %d (%+v)", st.Barriers, naive, st)
-	}
-	if st.CrossEvents != 0 {
+	if st := sh.Stats(); st.CrossEvents != 0 {
 		t.Fatalf("local-only traffic counted %d cross events", st.CrossEvents)
-	}
-}
-
-// TestShardedStealingEquivalence pins the SetStealing contract: work
-// stealing changes which worker runs a domain, never what the domain
-// computes — traces and event counts match with stealing on and off, and
-// the adaptive-extension verdict (a function of the model, not of
-// scheduling) matches too.
-func TestShardedStealingEquivalence(t *testing.T) {
-	const lanes = 6
-	const window = Time(777)
-	horizons := []Time{5 * window, 40 * window, Second}
-	for seed := int64(1); seed <= 4; seed++ {
-		on, onN, onSt := runLatticeShardedSteal(QueueWheel, lanes, 3, seed, window, horizons, false, true)
-		off, offN, offSt := runLatticeShardedSteal(QueueWheel, lanes, 3, seed, window, horizons, false, false)
-		compareTraces(t, fmt.Sprintf("seed %d stealing on vs off", seed), on, off)
-		if onN != offN {
-			t.Fatalf("seed %d: processed differs: %d vs %d", seed, onN, offN)
-		}
-		if offSt.Steals != 0 {
-			t.Fatalf("seed %d: stealing off recorded %d steals", seed, offSt.Steals)
-		}
-		if onSt.Windows != offSt.Windows || onSt.Extensions != offSt.Extensions || onSt.CrossEvents != offSt.CrossEvents {
-			t.Fatalf("seed %d: deterministic stats diverge: on=%+v off=%+v", seed, onSt, offSt)
-		}
 	}
 }
 
